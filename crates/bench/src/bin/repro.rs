@@ -21,11 +21,13 @@
 //! repro --list-transitions SS # render a protocol's single- and multi-hop
 //!                             # transition tables (any registered label or
 //!                             # spectrum label like spec:btb--)
-//! repro --serial        # disable the multi-core sweep fan-out
-//! repro --jobs N        # fan sweeps out across N threads
+//! repro --serial        # disable the multi-core fan-out (sweeps, node
+//!                       # fault experiments, check-specs domination run)
+//! repro --jobs N        # fan all of that out across N threads
 //! repro --timing        # per-phase wall-clock (build/solve/report) per experiment
 //! repro --loss gilbert  # bursty Gilbert–Elliott channel loss for the node
-//!                       # simulations (default: independent bernoulli)
+//!                       # simulations (default: independent bernoulli;
+//!                       # check-specs accepts only bernoulli)
 //! repro --retry jittered # retransmission retry policy for the node
 //!                        # simulations and the check-specs latency bound:
 //!                        # fixed (default) | backoff | jittered
@@ -36,8 +38,11 @@
 //! the bench crate registers at startup (tag `extra`) — the latter are
 //! user-level compositions, proof that new experiments need no core changes.
 //!
-//! Simulation experiments (Figures 11–12) *and* every analytic sweep fan
-//! out across all CPUs by default; `--serial` / `--jobs` control the
+//! Simulation experiments (Figures 11–12), every analytic sweep, the node
+//! fault experiments (`node-outage` one job per spec, `node-restart-storm`
+//! one per spec × retry policy) and the `check-specs` latency-domination
+//! run (one job per spec) fan out across all CPUs by default; output is
+//! byte-identical under every policy.  `--serial` / `--jobs` control the
 //! `ExecutionPolicy` and the closing line reports the wall-clock, so a
 //! serial-vs-parallel speedup is one `time`-free A/B away.  `--timing`
 //! refines that A/B to per-experiment phases: `build` (registry + protocol
@@ -219,6 +224,16 @@ fn main() {
     };
 
     if args.check_specs {
+        // The latency bound's ε-quantile attempt count assumes independent
+        // loss, so a bursty-loss domination run would check a bound against
+        // a channel it was never derived for.
+        if args.loss != LossKind::Bernoulli {
+            eprintln!(
+                "error: check-specs supports only --loss bernoulli: the symbolic \
+                 repair-latency bound assumes independent (Bernoulli) message loss"
+            );
+            std::process::exit(2);
+        }
         // Model-check the whole coherent spec space before (or instead of)
         // regenerating anything: the CI gate that keeps the declarative
         // tables, the analytic builders and the simulators in agreement.

@@ -415,6 +415,19 @@ mod tests {
     }
 
     #[test]
+    fn node_outage_table_and_domination_check_run_the_same_specs_in_order() {
+        // The registered `node-outage` table runs `coherent_spectrum()` and
+        // the `check-specs` domination run measures `sigfsm::coherent_specs()`
+        // through the same `NodeOutageExperiment::measure`: they simulate the
+        // same configurations exactly when the two enumerations agree,
+        // mechanism for mechanism and in the same order.
+        let code = |s: &ProtocolSpec| siganalytic::fsm::mechanism_code(s);
+        let table: Vec<String> = coherent_spectrum().iter().map(code).collect();
+        let check: Vec<String> = sigfsm::coherent_specs().iter().map(code).collect();
+        assert_eq!(table, check);
+    }
+
+    #[test]
     fn spec_spectrum_charts_every_coherent_point() {
         let out = extended_registry()
             .run("spec-spectrum", &bench_options())

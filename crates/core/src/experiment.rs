@@ -32,7 +32,9 @@ pub struct ExperimentOptions {
     pub seed: u64,
     /// How simulation work is scheduled.  The sweep layer fans out whole
     /// campaigns — one unit per (protocol × sweep point) — under this
-    /// policy; results are bit-identical under every policy.
+    /// policy, and the node fault experiments and the latency-domination
+    /// check one unit per spec (× retry policy); results are bit-identical
+    /// under every policy.
     pub execution: ExecutionPolicy,
     /// Optional protocol-set override.  `None` runs each experiment with
     /// its own default set (the paper's, for the built-ins); `Some` replaces

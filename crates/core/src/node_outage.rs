@@ -28,6 +28,7 @@ use crate::registry::Experiment;
 use siganalytic::{ProtocolSpec, SingleHopParams};
 use sigfsm::{repair_latency_bound, BoundParams};
 use sigproto::{FaultSchedule, NodeCampaign, NodeConfig, RecoveryMetrics};
+use simcore::{Assignment, ExecutionPolicy, ReplicationEngine};
 use std::fmt::Write as _;
 
 /// When the blackout starts (seconds of virtual time): late enough that the
@@ -59,6 +60,13 @@ pub const SESSIONS_FULL: usize = 100_000;
 
 /// Sessions under `--quick` (small budgets): keeps CI interactive.
 pub const SESSIONS_QUICK: usize = 4096;
+
+/// What [`NodeOutageExperiment::measure`] returns for one protocol.
+type Measurement = (
+    sigproto::NodeCampaignResult,
+    sigproto::PhaseTimings,
+    RecoveryMetrics,
+);
 
 /// The scheduled-outage recovery experiment (registered as `node-outage`).
 pub struct NodeOutageExperiment {
@@ -112,20 +120,31 @@ impl NodeOutageExperiment {
     /// Runs the canonical outage for one protocol and derives its recovery
     /// metrics — the shared measurement path of the experiment table and the
     /// latency-domination cross-check.
-    pub fn measure(
-        protocol: ProtocolSpec,
-        options: &ExperimentOptions,
-    ) -> (
-        sigproto::NodeCampaignResult,
-        sigproto::PhaseTimings,
-        RecoveryMetrics,
-    ) {
+    ///
+    /// The campaign is a single replication and always runs serially: the
+    /// table and the cross-check fan out across protocols instead, so a
+    /// worker never spawns nested threads.
+    pub fn measure(protocol: ProtocolSpec, options: &ExperimentOptions) -> Measurement {
         let campaign = NodeCampaign::new(Self::config(protocol, options), 1, options.seed)
-            .execution(options.execution);
+            .execution(ExecutionPolicy::Serial);
         let (result, phases, _, trace) = campaign.run_traced();
         let metrics =
             RecoveryMetrics::derive(&trace, OUTAGE_START, OUTAGE_START + OUTAGE_SECS, EPSILON);
         (result, phases, metrics)
+    }
+
+    /// [`measure`](Self::measure) for every protocol, fanned out one job per
+    /// protocol through the [`ReplicationEngine`] under `options.execution`
+    /// and returned in `protocols` order — bit-identical under every policy.
+    fn measure_all(protocols: &[ProtocolSpec], options: &ExperimentOptions) -> Vec<Measurement> {
+        // Work stealing: per-spec costs are skewed (the reliable-refresh
+        // specs retransmit millions of messages), and the dynamic
+        // assignment is bit-identical to serial execution anyway.
+        ReplicationEngine::new(options.execution)
+            .with_assignment(Assignment::WorkStealing)
+            .run(protocols.len(), &|i: u64| {
+                Self::measure(protocols[i as usize], options)
+            })
     }
 }
 
@@ -234,29 +253,47 @@ impl DominationReport {
 /// bound from [`sigfsm::repair_latency_bound`] — evaluated at the
 /// experiment's own operating point (Kazaa defaults with the [`LOSS`]
 /// override, quantile [`EPSILON`]) — dominates it.  `repro check-specs`
-/// runs this after the structural passes and fails on any violation.
+/// runs this after the structural passes and fails on any violation.  The
+/// measurements fan out across specs under `options.execution`; the report
+/// is identical under every policy.
 pub fn check_latency_domination(options: &ExperimentOptions) -> DominationReport {
+    domination_report(&sigfsm::coherent_specs(), options)
+}
+
+/// [`check_latency_domination`] over an explicit spec list: the bounds are
+/// derived serially, then the derivable specs' measurements fan out as one
+/// engine job each.
+fn domination_report(specs: &[ProtocolSpec], options: &ExperimentOptions) -> DominationReport {
     let (retry_factor, retry_cap) = options.retry_kind.policy().bound_terms();
     let p = BoundParams::from_single_hop(&NodeOutageExperiment::params(), EPSILON)
         .with_retry_terms(retry_factor, retry_cap);
-    let mut rows = Vec::new();
+    let mut derived = Vec::new();
+    let mut bounds = Vec::new();
     let mut underivable = 0;
-    for spec in sigfsm::coherent_specs() {
-        // coherent_specs() pre-validates, so derivation only fails if the
-        // structural latency property is itself broken; count it instead of
-        // panicking so check-specs reports the failure as a gate result.
+    for &spec in specs {
+        // The specs are coherent (coherent_specs() pre-validates), so
+        // derivation only fails if the structural latency property is itself
+        // broken; count it instead of panicking so check-specs reports the
+        // failure as a gate result.
         let Ok(bound) = repair_latency_bound(spec) else {
             underivable += 1;
             continue;
         };
-        let (_, _, metrics) = NodeOutageExperiment::measure(spec, options);
-        rows.push(DominationRow {
-            code: siganalytic::fsm::mechanism_code(&spec),
+        derived.push(spec);
+        bounds.push(bound);
+    }
+    let measured = NodeOutageExperiment::measure_all(&derived, options);
+    let rows = derived
+        .iter()
+        .zip(bounds)
+        .zip(measured)
+        .map(|((spec, bound), (_, _, metrics))| DominationRow {
+            code: siganalytic::fsm::mechanism_code(spec),
             measured_secs: metrics.reconverge_secs,
             bound_expr: bound.reconverge.render(),
             bound_secs: bound.reconverge.eval(&p),
-        });
-    }
+        })
+        .collect();
     DominationReport {
         sessions: NodeOutageExperiment::sessions(options),
         rows,
@@ -305,8 +342,8 @@ impl Experiment for NodeOutageExperiment {
             "recovery msg",
             "drops inj"
         );
-        for &protocol in &protocols {
-            let (result, phases, m) = NodeOutageExperiment::measure(protocol, options);
+        let measured = Self::measure_all(&protocols, options);
+        for (&protocol, (result, phases, m)) in protocols.iter().zip(measured) {
             let _ = writeln!(
                 text,
                 "{:<12} {:>12.4} {:>12.1} {:>8.1}x {:>12.1} {:>13.0} {:>12}",
@@ -338,7 +375,7 @@ impl Experiment for NodeOutageExperiment {
 mod tests {
     use super::*;
     use siganalytic::Protocol;
-    use simcore::{ExecutionPolicy, QueueKind};
+    use simcore::QueueKind;
 
     fn tiny_options() -> ExperimentOptions {
         ExperimentOptions {
@@ -389,14 +426,22 @@ mod tests {
 
     #[test]
     fn table_is_bit_identical_across_policies_and_queue_kinds() {
-        let exp = NodeOutageExperiment::new(vec![Protocol::Ss.spec()]);
+        // Three protocols, so the threaded arms really fan out (one engine
+        // job per protocol) and must still render rows in protocol order.
+        let exp = NodeOutageExperiment::new(vec![
+            Protocol::Ss.spec(),
+            Protocol::Hs.spec(),
+            Protocol::SsRtr.spec(),
+        ]);
         let serial = exp
             .run(&tiny_options().with_execution(ExecutionPolicy::Serial))
             .to_text();
-        let threaded = exp
-            .run(&tiny_options().with_execution(ExecutionPolicy::threads(4)))
-            .to_text();
-        assert_eq!(serial, threaded);
+        for threads in [2, 4] {
+            let threaded = exp
+                .run(&tiny_options().with_execution(ExecutionPolicy::threads(threads)))
+                .to_text();
+            assert_eq!(serial, threaded, "threads({threads}) diverged");
+        }
         // Queue kinds: the config builder pins the heap core; rebuild the
         // same campaign on the calendar core and compare the raw results.
         let options = tiny_options();
@@ -440,6 +485,27 @@ mod tests {
                 m.reconverge_secs
             );
         }
+    }
+
+    #[test]
+    fn domination_report_is_identical_across_policies() {
+        // The check fans its measurements out one engine job per spec; the
+        // report (rows in spec order, underivable count) must not depend on
+        // the policy.  Three specs keep the debug-profile test fast.
+        let specs = [ProtocolSpec::SS, ProtocolSpec::HS, ProtocolSpec::SS_RTR];
+        let serial = domination_report(
+            &specs,
+            &tiny_options().with_execution(ExecutionPolicy::Serial),
+        );
+        let threaded = domination_report(
+            &specs,
+            &tiny_options().with_execution(ExecutionPolicy::threads(4)),
+        );
+        assert_eq!(serial, threaded);
+        let codes: Vec<String> = specs.iter().map(siganalytic::fsm::mechanism_code).collect();
+        let rows: Vec<String> = serial.rows.iter().map(|r| r.code.clone()).collect();
+        assert_eq!(rows, codes);
+        assert_eq!(serial.underivable, 0);
     }
 
     #[test]

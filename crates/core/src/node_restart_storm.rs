@@ -36,6 +36,7 @@ use sigproto::{
     CapacityModel, CrashStatePolicy, FaultEvent, FaultSchedule, NodeCampaign, NodeConfig,
     RecoveryMetrics,
 };
+use simcore::{Assignment, ExecutionPolicy, ReplicationEngine};
 use std::fmt::Write as _;
 
 /// When the first storm wave starts (seconds of virtual time): late enough
@@ -194,6 +195,10 @@ impl NodeRestartStormExperiment {
     /// Runs the canonical storm for one protocol × retry policy and derives
     /// the recovery metrics of the transient plus the re-install
     /// convergence time.
+    ///
+    /// The campaign is a single replication and always runs serially: the
+    /// table fans out across protocol × retry policy instead, so a worker
+    /// never spawns nested threads.
     pub fn measure(
         protocol: ProtocolSpec,
         retry: RetryKind,
@@ -205,7 +210,7 @@ impl NodeRestartStormExperiment {
         f64,
     ) {
         let campaign = NodeCampaign::new(Self::config(protocol, retry, options), 1, options.seed)
-            .execution(options.execution);
+            .execution(ExecutionPolicy::Serial);
         let (result, phases, _, trace) = campaign.run_traced();
         let metrics = RecoveryMetrics::derive(&trace, STORM_START, Self::last_wipe(), EPSILON);
         let reinstall = Self::reinstall_secs(&trace);
@@ -309,33 +314,44 @@ impl Experiment for NodeRestartStormExperiment {
             "ovl frac",
             "msg/sess"
         );
-        for &protocol in &protocols {
-            for retry in RetryKind::ALL {
-                let (result, phases, m, reinstall) = Self::measure(protocol, retry, options);
-                let _ = writeln!(
-                    text,
-                    "{:<12} {:<9} {:>11.1} {:>12.1} {:>12.1} {:>10} {:>9.4} {:>10.1}",
+        // One engine job per protocol × retry policy, protocol-major (the
+        // table's row order).  Work stealing: per-job costs are skewed across
+        // the spectrum, and the dynamic assignment is bit-identical to
+        // serial execution anyway.
+        let jobs: Vec<(ProtocolSpec, RetryKind)> = protocols
+            .iter()
+            .flat_map(|&p| RetryKind::ALL.map(|retry| (p, retry)))
+            .collect();
+        let measured = ReplicationEngine::new(options.execution)
+            .with_assignment(Assignment::WorkStealing)
+            .run(jobs.len(), &|i: u64| {
+                let (protocol, retry) = jobs[i as usize];
+                Self::measure(protocol, retry, options)
+            });
+        for (&(protocol, retry), (result, phases, m, reinstall)) in jobs.iter().zip(measured) {
+            let _ = writeln!(
+                text,
+                "{:<12} {:<9} {:>11.1} {:>12.1} {:>12.1} {:>10} {:>9.4} {:>10.1}",
+                protocol.label(),
+                retry.label(),
+                reinstall,
+                m.reconverge_secs,
+                result.peak_bandwidth_bytes_per_sec.mean / MESSAGE_BYTES,
+                result.drops_overload,
+                Self::overload_fraction(&result),
+                result.messages.signaling_total() as f64 / sessions as f64,
+            );
+            if options.timing {
+                eprintln!(
+                    "timing: node-restart-storm[{:<10} {:<8}] schedule {:>7.3} s   \
+                     fire {:>7.3} s   metrics {:>7.3} s   ({} events)",
                     protocol.label(),
                     retry.label(),
-                    reinstall,
-                    m.reconverge_secs,
-                    result.peak_bandwidth_bytes_per_sec.mean / MESSAGE_BYTES,
-                    result.drops_overload,
-                    Self::overload_fraction(&result),
-                    result.messages.signaling_total() as f64 / sessions as f64,
+                    phases.schedule,
+                    phases.fire,
+                    phases.metrics,
+                    result.events_processed,
                 );
-                if options.timing {
-                    eprintln!(
-                        "timing: node-restart-storm[{:<10} {:<8}] schedule {:>7.3} s   \
-                         fire {:>7.3} s   metrics {:>7.3} s   ({} events)",
-                        protocol.label(),
-                        retry.label(),
-                        phases.schedule,
-                        phases.fire,
-                        phases.metrics,
-                        result.events_processed,
-                    );
-                }
             }
         }
         ExperimentOutput::Text(text)
@@ -346,7 +362,7 @@ impl Experiment for NodeRestartStormExperiment {
 mod tests {
     use super::*;
     use siganalytic::Protocol;
-    use simcore::{ExecutionPolicy, QueueKind};
+    use simcore::QueueKind;
 
     fn tiny_options() -> ExperimentOptions {
         ExperimentOptions {
@@ -436,14 +452,20 @@ mod tests {
 
     #[test]
     fn table_is_bit_identical_across_policies_and_queue_kinds() {
-        let exp = NodeRestartStormExperiment::new(vec![Protocol::SsRtr.spec()]);
+        // Two protocols × three retry policies: six engine jobs, so the
+        // threaded arms really fan out and must keep the protocol-major
+        // row order.
+        let exp =
+            NodeRestartStormExperiment::new(vec![Protocol::Ss.spec(), Protocol::SsRtr.spec()]);
         let serial = exp
             .run(&tiny_options().with_execution(ExecutionPolicy::Serial))
             .to_text();
-        let threaded = exp
-            .run(&tiny_options().with_execution(ExecutionPolicy::threads(4)))
-            .to_text();
-        assert_eq!(serial, threaded);
+        for threads in [2, 4] {
+            let threaded = exp
+                .run(&tiny_options().with_execution(ExecutionPolicy::threads(threads)))
+                .to_text();
+            assert_eq!(serial, threaded, "threads({threads}) diverged");
+        }
         // Queue kinds: rebuild the same campaign on the calendar core and
         // compare raw results and traces.
         let options = tiny_options();
